@@ -5,11 +5,9 @@ import (
 	"io/fs"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dyncoll"
 	"dyncoll/internal/server"
@@ -64,6 +62,7 @@ func (c *churnState) readTask(rng *rand.Rand) task {
 	if rng.Intn(2) == 0 {
 		return func() outcome {
 			tok := m.readBegin(p)
+			defer m.readEnd(tok)
 			var n int
 			return call("count", func() (err error) { n, err = cl.count(p); return err },
 				func() error { return m.checkCount(tok, p, n) })
@@ -71,6 +70,7 @@ func (c *churnState) readTask(rng *rand.Rand) task {
 	}
 	return func() outcome {
 		tok := m.readBegin(p)
+		defer m.readEnd(tok)
 		var got []server.FindResult
 		return call("find", func() (err error) { got, err = cl.find(p, findLimit); return err },
 			func() error { return m.checkFind(tok, p, findLimit, got) })
@@ -150,13 +150,11 @@ func runChurnDurable(e *env) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.bringUp(e.setups(), func(n int) ([]float64, error) {
-		ts, _, err := r.restartDurable(n, func() error { return r.verifyCounts(pool[:1], preloaded) })
-		return ts, err
-	}); err != nil {
+	if err := r.bringUp(e.setups(), func() error { return r.verifyCounts(pool[:1], preloaded) }); err != nil {
 		return nil, err
 	}
 	r.res.total.merge(r.loads)
+	r.docs = nil // the model holds the preload from here on
 	c := &churnState{r: r, m: m, src: src, pool: pool, oldest: ids}
 	c.acked.Store(preBytes)
 
@@ -212,11 +210,18 @@ func runChurnDurable(e *env) (*report, error) {
 	_ = r.verifyCounts(pool, want)
 	walBytes := dirBytes(r.spec.dir)
 
-	_, recov, err := r.restartDurable(1, func() error {
-		return r.verifyCounts(pool[:1], want)
-	})
+	_, heap, err := r.restart(1, func() error { return r.verifyCounts(pool[:1], want) })
 	if err != nil {
 		return nil, err
+	}
+	// Recovery stats of the reopen, summed over the fleet's collections
+	// (Duration is the slowest one's).
+	var recov dyncoll.RecoveryStats
+	for _, d := range r.f.durables() {
+		st := d.RecoveryStats()
+		recov.Duration = max(recov.Duration, st.Duration)
+		recov.WALRecords += st.WALRecords
+		recov.CheckpointLoaded = recov.CheckpointLoaded || st.CheckpointLoaded
 	}
 	_ = r.verifyCounts(pool, want)
 	if e.trace {
@@ -239,6 +244,7 @@ func runChurnDurable(e *env) (*report, error) {
 	ph.latencies(res, r.res.extra, "count", "find")
 	res["setup_s"] = median(r.setup)
 	res["restart_s"] = median(r.restarts)
+	res["heap_mb"] = heap
 	return r.res, nil
 }
 
@@ -270,43 +276,6 @@ func boolFloat(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// restartDurable restarts every durable backend `times` times the way
-// dyndocd does — drain (WaitIdle, checkpoint, close the WAL), then
-// recover from the directory before listening — and times each restart
-// from the reopen until the first verified read answers. It also
-// returns the recovery stats of the last reopen, summed over the
-// fleet's collections (Duration is the slowest one).
-func (r *textRun) restartDurable(times int, firstRead func() error) ([]float64, dyncoll.RecoveryStats, error) {
-	var out []float64
-	var rec dyncoll.RecoveryStats
-	for k := 0; k < times; k++ {
-		for _, n := range r.f.nodes {
-			if err := n.drain("", true); err != nil {
-				return nil, rec, fmt.Errorf("drain backend %d: %w", n.idx, err)
-			}
-		}
-		runtime.GC() // every restart starts from a collected heap
-		start := time.Now()
-		for _, n := range r.f.nodes {
-			if err := n.open(r.spec, ""); err != nil {
-				return nil, rec, fmt.Errorf("restart backend %d: %w", n.idx, err)
-			}
-		}
-		if err := firstRead(); err != nil {
-			return nil, rec, fmt.Errorf("first read after restart: %w", err)
-		}
-		out = append(out, time.Since(start).Seconds())
-		rec = dyncoll.RecoveryStats{}
-		for _, d := range r.f.durables() {
-			st := d.RecoveryStats()
-			rec.Duration = max(rec.Duration, st.Duration)
-			rec.WALRecords += st.WALRecords
-			rec.CheckpointLoaded = rec.CheckpointLoaded || st.CheckpointLoaded
-		}
-	}
-	return out, rec, nil
 }
 
 // dirBytes totals the sizes of the regular files under dir.

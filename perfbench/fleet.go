@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyncoll"
@@ -53,6 +54,7 @@ type node struct {
 	addr string
 	dir  string
 	srv  *http.Server
+	h    *detachable   // what srv serves
 	done chan struct{} // closed when Serve returned
 
 	mu       sync.Mutex
@@ -209,12 +211,28 @@ func (n *node) open(spec fleetSpec, snapDir string) error {
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	addr, srv, done, err := serve(listen, h)
+	n.h = &detachable{}
+	n.h.h.Store(&h)
+	addr, srv, done, err := serve(listen, n.h)
 	if err != nil {
 		return err
 	}
 	n.addr, n.srv, n.done = addr, srv, done
 	return nil
+}
+
+// detachable serves its handler until it is detached, then answers 503.
+// A stopped backend detaches its handler, so an HTTP connection
+// goroutine still on its way out cannot keep the drained collections
+// reachable while the harness measures the heap the drain released.
+type detachable struct{ h atomic.Pointer[http.Handler] }
+
+func (d *detachable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h := d.h.Load(); h != nil {
+		(*h).ServeHTTP(w, r)
+		return
+	}
+	http.Error(w, "backend stopped", http.StatusServiceUnavailable)
 }
 
 // wrap applies the optional fault injector and the timing decorator.
@@ -266,13 +284,15 @@ func (n *node) stop() {
 		n.srv.Close()
 	}
 	<-n.done
+	n.h.h.Store(nil)
 	n.srv = nil
 }
 
 // drain is dyndocd's graceful drain: stop serving, let background
 // rebuilds land, then write the drain snapshot (plain backends, when
 // snapDir is set) or checkpoint and close the WAL (durable backends;
-// a teardown skips the checkpoint).
+// a teardown skips the checkpoint). The node then holds no collection
+// until it is opened again.
 func (n *node) drain(snapDir string, checkpoint bool) error {
 	n.stop()
 	n.mu.Lock()
@@ -291,6 +311,7 @@ func (n *node) drain(snapDir string, checkpoint bool) error {
 		}
 		errs = append(errs, d.Close())
 	}
+	n.plain, n.durables = nil, nil
 	return errors.Join(errs...)
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,6 +37,7 @@ type edge struct{ u, v uint64 }
 type edgeWrite struct {
 	add bool
 	e   edge
+	pos int // in the log
 }
 
 // graphModel is the adjacency-map oracle. As with liveModel, a write is
@@ -47,7 +49,7 @@ type graphModel struct {
 	edges   []edge       // acknowledged edges, for uniform picks
 	at      map[edge]int // position in edges
 	pending map[edge]bool
-	log     []*edgeWrite
+	log     writeLog[*edgeWrite]
 	active  map[*edgeWrite]bool
 }
 
@@ -109,7 +111,7 @@ func (m *graphModel) schedule(rng *rand.Rand, add bool, draw func() edge) (edge,
 func (m *graphModel) begin(add bool, e edge) *edgeWrite {
 	w := &edgeWrite{add: add, e: e}
 	m.mu.Lock()
-	m.log = append(m.log, w)
+	w.pos = m.log.add(w)
 	m.active[w] = true
 	m.mu.Unlock()
 	return w
@@ -125,21 +127,42 @@ func (m *graphModel) end(w *edgeWrite, ok bool) {
 		m.set(w.e, w.add)
 		delete(m.pending, w.e)
 	}
+	m.trim()
+}
+
+// trim drops the log no read needs any more. Callers hold mu.
+func (m *graphModel) trim() {
+	keep := m.log.end()
+	for w := range m.active {
+		keep = min(keep, w.pos)
+	}
+	m.log.trim(keep)
 }
 
 type graphToken struct {
-	active []*edgeWrite
-	logLen int
+	active   []*edgeWrite
+	at, from int // log end when the read was sent; position it holds the log from
 }
 
+// readBegin captures the model for a read; readEnd must follow.
 func (m *graphModel) readBegin() graphToken {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := graphToken{logLen: len(m.log)}
+	t := graphToken{at: m.log.end()}
+	t.from = t.at
 	for w := range m.active {
 		t.active = append(t.active, w)
+		t.from = min(t.from, w.pos)
 	}
+	m.log.hold(t.from)
 	return t
+}
+
+func (m *graphModel) readEnd(t graphToken) {
+	m.mu.Lock()
+	m.log.release(t.from)
+	m.trim()
+	m.mu.Unlock()
 }
 
 // checkList checks a neighbour list of x (out-neighbours when out is
@@ -154,7 +177,7 @@ func (m *graphModel) checkList(t graphToken, x uint64, out bool, got []uint64, c
 		adj = m.out[x]
 	}
 	open := map[uint64]bool{}
-	for _, w := range append(t.active, m.log[t.logLen:]...) {
+	for _, w := range append(slices.Clip(t.active), m.log.since(t.at)...) {
 		if out && w.e.u == x {
 			open[w.e.v] = true
 		} else if !out && w.e.v == x {
@@ -226,8 +249,8 @@ type graphRun struct {
 	m     *graphModel
 	edges []edge
 	tr    *tracer
-	calls *durations // binrel call times of the traced phase
-	total *tally     // the run's counts; restarts note wrong answers here
+	calls *samples // binrel call times of the traced phase
+	total *tally   // the run's counts; restarts note wrong answers here
 }
 
 func graphOptions() []dyncoll.Option {
@@ -286,6 +309,7 @@ func (r *graphRun) readTask(pl powerLaw, x float64) task {
 	case x < gNeighbors, x >= gReverse && x < gOutDeg:
 		return func() outcome {
 			t := m.readBegin()
+			defer m.readEnd(t)
 			if x < gNeighbors {
 				var got []uint64
 				return r.timed("neighbors", "Neighbors", vx, func() error { got = g.Neighbors(vx); return nil },
@@ -298,6 +322,7 @@ func (r *graphRun) readTask(pl powerLaw, x float64) task {
 	default:
 		return func() outcome {
 			t := m.readBegin()
+			defer m.readEnd(t)
 			if x < gReverse {
 				var got []uint64
 				return r.timed("neighbors", "ReverseNeighbors", vx, func() error { got = g.ReverseNeighbors(vx); return nil },
@@ -354,11 +379,11 @@ func runGraphChurn(e *env) (*report, error) {
 		}
 	}
 	res := newReport()
-	r := &graphRun{env: e, nv: nv, m: m, edges: edges, calls: newDurations(), total: res.total}
+	r := &graphRun{env: e, nv: nv, m: m, edges: edges, calls: newSamples(), total: res.total}
 	var setups, restarts []float64
 	for k := 0; k < e.setups(); k++ {
 		if k > 0 { // restart the set-up about to be discarded (see restartsPerSetup)
-			ts, err := r.restart(restartsPerSetup)
+			ts, _, err := r.restart(restartsPerSetup)
 			if err != nil {
 				return nil, err
 			}
@@ -395,7 +420,7 @@ func runGraphChurn(e *env) (*report, error) {
 			return nil, err
 		}
 		for _, op := range []string{"Neighbors", "ReverseNeighbors", "OutDegree", "InDegree", "AddEdge", "DeleteEdge"} {
-			res.layers["binrel."+op+".p50_us"] = r.calls.p50us(op)
+			res.layers["binrel."+op+".p50_us"] = 1e3 * r.calls.quantileOf(0.5, op)
 		}
 	}
 	var ph *phases
@@ -406,14 +431,15 @@ func runGraphChurn(e *env) (*report, error) {
 		}
 		r.g.WaitIdle()
 		res.e2e["index_bits_per_symbol"] = float64(r.g.SizeBits()) / float64(max(r.g.EdgeCount(), 1))
-		res.e2e["heap_mb"] = heapMB()
 	}
 	if err := r.verifyAll(); err != nil {
 		res.total.noteWrong(fmt.Errorf("end of run: %w", err))
 	}
-	if _, err := r.restart(1); err != nil {
+	_, heap, err := r.restart(1)
+	if err != nil {
 		return nil, err
 	}
+	res.e2e["heap_mb"] = heap
 	if err := r.verifyAll(); err != nil {
 		res.total.noteWrong(fmt.Errorf("after restart: %w", err))
 	}
@@ -452,6 +478,7 @@ func (g graphEngine) WaitIdle()                 { g.g.WaitIdle() }
 // model (no write is in flight).
 func (r *graphRun) verifyAll() error {
 	t := r.m.readBegin()
+	defer r.m.readEnd(t)
 	for v := uint64(1); v <= uint64(r.nv); v++ {
 		if err := r.m.checkList(t, v, true, r.g.Neighbors(v), -1); err != nil {
 			return err
@@ -464,30 +491,37 @@ func (r *graphRun) verifyAll() error {
 }
 
 // restart saves the graph snapshot (the drain; after WaitIdle) and
-// times loading it into a fresh graph until the first verified read.
-func (r *graphRun) restart(times int) ([]float64, error) {
+// times loading it into a fresh graph until the first verified read. It
+// also returns, in MB, the heap that dropping the last saved graph
+// released: the graph's own heap, without the harness's model.
+func (r *graphRun) restart(times int) ([]float64, float64, error) {
 	path := filepath.Join(r.env.work, "graph.snap")
 	var out []float64
+	var released float64
 	hub := r.edges[0].u
 	for k := 0; k < times; k++ {
 		r.g.WaitIdle()
+		inUse := heapMB()
 		if err := r.g.SaveFile(path); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		runtime.GC() // every restart starts from a collected heap
+		r.g = nil
+		released = inUse - heapMB() // also: every restart starts from a collected heap
 		start := time.Now()
 		g, err := dyncoll.NewGraph(graphOptions()...)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := g.LoadFile(path); err != nil {
-			return nil, fmt.Errorf("load graph snapshot: %w", err)
+			return nil, 0, fmt.Errorf("load graph snapshot: %w", err)
 		}
-		if err := r.m.checkList(r.m.readBegin(), hub, true, g.Neighbors(hub), -1); err != nil {
+		t := r.m.readBegin()
+		if err := r.m.checkList(t, hub, true, g.Neighbors(hub), -1); err != nil {
 			r.total.noteWrong(fmt.Errorf("first read after restart: %w", err))
 		}
+		r.m.readEnd(t)
 		out = append(out, time.Since(start).Seconds())
 		r.g = g
 	}
-	return out, os.Remove(path)
+	return out, released, os.Remove(path)
 }

@@ -113,8 +113,8 @@ func median(xs []float64) float64 {
 	return quantile(slices.Clone(xs), 0.5)
 }
 
-// samples collects latencies per operation class, safe for concurrent
-// recorders.
+// samples collects durations in milliseconds per operation class or
+// layer call, safe for concurrent recorders.
 type samples struct {
 	mu sync.Mutex
 	by map[string][]float64
@@ -158,37 +158,11 @@ func (s *samples) quantileOf(q float64, classes ...string) float64 {
 
 func (s *samples) count(classes ...string) int { return len(s.pooled(classes)) }
 
-// durations records how long each call of a named layer function took
-// (p50 and busy time), safe for concurrent recorders.
-type durations struct {
-	mu sync.Mutex
-	by map[string][]time.Duration
-}
-
-func newDurations() *durations { return &durations{by: make(map[string][]time.Duration)} }
-
-func (d *durations) add(name string, v time.Duration) {
-	d.mu.Lock()
-	d.by[name] = append(d.by[name], v)
-	d.mu.Unlock()
-}
-
-func (d *durations) p50us(name string) float64 {
-	d.mu.Lock()
-	xs := make([]float64, len(d.by[name]))
-	for i, v := range d.by[name] {
-		xs[i] = float64(v) / 1e3
-	}
-	d.mu.Unlock()
-	return quantile(xs, 0.5)
-}
-
-func (d *durations) busyS(name string) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var t time.Duration
-	for _, v := range d.by[name] {
+// sum totals the listed classes, in milliseconds.
+func (s *samples) sum(classes ...string) float64 {
+	t := 0.0
+	for _, v := range s.pooled(classes) {
 		t += v
 	}
-	return t.Seconds()
+	return t
 }

@@ -214,6 +214,57 @@ func (o *staticOracle) checkExtract(id uint64, off, n int, got []byte) error {
 	return nil
 }
 
+// writeLog keeps the writes a model saw begin, in order, for as long as
+// something may need them: a read checks against every write in flight
+// when it began and every write that began after it. A read holds the
+// log from the oldest of those; the log drops what no hold and no write
+// in flight reaches.
+type writeLog[W any] struct {
+	ws    []W
+	base  int         // position of ws[0]; earlier writes are dropped
+	holds map[int]int // open reads, counted by the position they hold from
+}
+
+// add appends a write and returns its position.
+func (l *writeLog[W]) add(w W) int {
+	l.ws = append(l.ws, w)
+	return l.base + len(l.ws) - 1
+}
+
+// end is the position the next write gets.
+func (l *writeLog[W]) end() int { return l.base + len(l.ws) }
+
+// since returns the writes from pos on; pos must be held.
+func (l *writeLog[W]) since(pos int) []W { return l.ws[pos-l.base:] }
+
+func (l *writeLog[W]) hold(pos int) {
+	if l.holds == nil {
+		l.holds = map[int]int{}
+	}
+	l.holds[pos]++
+}
+
+func (l *writeLog[W]) release(pos int) {
+	if l.holds[pos]--; l.holds[pos] == 0 {
+		delete(l.holds, pos)
+	}
+}
+
+// trim drops and returns the writes before every hold and before keep,
+// the position of the oldest write in flight (end() when none is).
+func (l *writeLog[W]) trim(keep int) []W {
+	for p := range l.holds {
+		keep = min(keep, p)
+	}
+	if keep <= l.base {
+		return nil
+	}
+	n := keep - l.base
+	dropped := l.ws[:n:n]
+	l.ws, l.base = l.ws[n:], keep
+	return dropped
+}
+
 // liveModel tracks a corpus under concurrent inserts and deletes from
 // acknowledgements alone: a write is applied to the model when the
 // system acknowledges it. A read overlapping writes may see any subset
@@ -221,11 +272,11 @@ func (o *staticOracle) checkExtract(id uint64, off, n int, got []byte) error {
 // allow.
 type liveModel struct {
 	mu     sync.Mutex
-	data   map[uint64][]byte // every document ever generated; immutable
+	data   map[uint64][]byte // generated documents until no read can need a deleted one
 	live   map[uint64]bool
 	pool   *patternSet
 	cnt    []int // live occurrences per pool pattern
-	log    []*docWrite
+	log    writeLog[*docWrite]
 	active map[*docWrite]bool
 	failed []*docWrite // unacknowledged: effect unknown until resolved
 }
@@ -233,6 +284,8 @@ type liveModel struct {
 type docWrite struct {
 	insert bool
 	ids    []uint64
+	pos    int  // in the log
+	acked  bool // applied to the model
 }
 
 func newLiveModel(pool [][]byte) *liveModel {
@@ -280,7 +333,7 @@ func (m *liveModel) apply(insert bool, ids []uint64) {
 func (m *liveModel) begin(insert bool, ids []uint64) *docWrite {
 	w := &docWrite{insert: insert, ids: ids}
 	m.mu.Lock()
-	m.log = append(m.log, w)
+	w.pos = m.log.add(w)
 	m.active[w] = true
 	m.mu.Unlock()
 	return w
@@ -292,27 +345,58 @@ func (m *liveModel) end(w *docWrite, err error) {
 	delete(m.active, w)
 	if err == nil {
 		m.apply(w.insert, w.ids)
+		w.acked = true
 	} else {
 		m.failed = append(m.failed, w)
 	}
+	m.trim()
 	m.mu.Unlock()
+}
+
+// trim drops the log no read needs any more, and the data of the
+// documents its acknowledged deletes removed: nothing can return them
+// now without being wrong. Callers hold mu.
+func (m *liveModel) trim() {
+	keep := m.log.end()
+	for w := range m.active {
+		keep = min(keep, w.pos)
+	}
+	for _, w := range m.log.trim(keep) {
+		if !w.insert && w.acked {
+			for _, id := range w.ids {
+				delete(m.data, id)
+			}
+		}
+	}
 }
 
 // readToken captures the model when a read is sent.
 type readToken struct {
 	count  int
 	active []*docWrite
-	logLen int
+	at     int // log end when the read was sent
+	from   int // position the read holds the log from
 }
 
+// readBegin captures the model for a read of p; readEnd must follow.
 func (m *liveModel) readBegin(p []byte) readToken {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := readToken{count: m.cnt[m.pool.index(p)], logLen: len(m.log)}
+	t := readToken{count: m.cnt[m.pool.index(p)], at: m.log.end()}
+	t.from = t.at
 	for w := range m.active {
 		t.active = append(t.active, w)
+		t.from = min(t.from, w.pos)
 	}
+	m.log.hold(t.from)
 	return t
+}
+
+func (m *liveModel) readEnd(t readToken) {
+	m.mu.Lock()
+	m.log.release(t.from)
+	m.trim()
+	m.mu.Unlock()
 }
 
 // readBounds returns the interval of counts of p a read sent at t may
@@ -323,7 +407,7 @@ func (m *liveModel) readBounds(t readToken, p []byte) (lo, hi int, open map[uint
 	defer m.mu.Unlock()
 	lo, hi = t.count, t.count
 	open = map[uint64]bool{}
-	for _, w := range append(t.active, m.log[t.logLen:]...) {
+	for _, w := range append(slices.Clip(t.active), m.log.since(t.at)...) {
 		for _, id := range w.ids {
 			open[id] = true
 			if w.insert {

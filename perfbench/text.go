@@ -40,12 +40,14 @@ func textCorpus(seed int64) *textgen.Collection {
 	return textgen.NewCollection(textgen.CollectionOptions{MinLen: 32, MaxLen: 2048, Seed: seed})
 }
 
-// generate draws n more documents from the corpus source.
+// generate draws n more documents from the corpus source. The source
+// keeps no reference to them, so the caller decides how long they live.
 func generate(src *textgen.Collection, n int) []dyncoll.Document {
 	out := make([]dyncoll.Document, n)
 	for i := range out {
 		out[i] = src.NextDoc()
 	}
+	src.Docs = nil
 	return out
 }
 
@@ -96,36 +98,23 @@ func regexPool(docs []dyncoll.Document, n int, seed int64) []regexQuery {
 	return out
 }
 
-// preload inserts docs through the frontend in bulk batches over two
-// connections, recording each acknowledgement as a write.
-func preload(cl *client, docs []dyncoll.Document, t *tally) error {
-	batches := make(chan []dyncoll.Document)
-	errc := make(chan error, 2)
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range batches {
-				sent := time.Now()
-				err := cl.insert(b)
-				t.record(outcome{class: "insert", write: true, err: err}, sent, sent, time.Now())
-				if err != nil {
-					errc <- err
-					for range batches {
-					}
-					return
-				}
-			}
-		}()
+// preload inserts docs through the frontend in bulk batches over the
+// run's client connections, recording each acknowledgement as a write.
+func preload(cl *client, docs []dyncoll.Document, conns int, t *tally) error {
+	batches := (len(docs) + preloadBatch - 1) / preloadBatch
+	failed := t.failed.Load()
+	runAll(batches, conns, func(i int) task {
+		b := docs[i*preloadBatch : min((i+1)*preloadBatch, len(docs))]
+		return func() outcome {
+			o := call("insert", func() error { return cl.insert(b) }, nil)
+			o.write = true
+			return o
+		}
+	}, t)
+	if n := t.failed.Load() - failed; n > 0 {
+		return fmt.Errorf("%d of %d batches failed", n, batches)
 	}
-	for i := 0; i < len(docs); i += preloadBatch {
-		batches <- docs[i:min(i+preloadBatch, len(docs))]
-	}
-	close(batches)
-	wg.Wait()
-	close(errc)
-	return <-errc
+	return nil
 }
 
 // textRun is the state of one text workload run.
@@ -145,11 +134,11 @@ type textRun struct {
 // bringUp sets the fleet up `times` times and records each set-up
 // time: start the fleet, acknowledge the preload through the frontend,
 // WaitIdle. Every set-up but the last is restarted restartsPerSetup
-// times by restart, which returns the restart times, and torn down.
-func (r *textRun) bringUp(times int, restart func(n int) ([]float64, error)) error {
+// times, each restart timed until firstRead answers, and torn down.
+func (r *textRun) bringUp(times int, firstRead func() error) error {
 	for k := 0; k < times; k++ {
 		if r.f != nil {
-			ts, err := restart(restartsPerSetup)
+			ts, _, err := r.restart(restartsPerSetup, firstRead)
 			if err != nil {
 				return err
 			}
@@ -166,13 +155,52 @@ func (r *textRun) bringUp(times int, restart func(n int) ([]float64, error)) err
 			return err
 		}
 		r.f, r.cl = f, newClient(f.url, r.env.conns, r.tr)
-		if err := preload(r.cl, r.docs, r.loads); err != nil {
+		if err := preload(r.cl, r.docs, r.env.conns, r.loads); err != nil {
 			return fmt.Errorf("preload: %w", err)
 		}
 		f.waitIdle()
 		r.setup = append(r.setup, time.Since(start).Seconds())
 	}
 	return nil
+}
+
+// restart restarts every backend `times` times the way dyndocd does —
+// drain (WaitIdle, then the drain snapshot of a plain backend, or a
+// checkpoint and closing the WAL of a durable one), then recover before
+// listening — and times each restart from the reopen until firstRead
+// answers. It also returns, in MB, the heap the last drain released: the
+// backends' own heap, without the harness's inputs and oracles.
+func (r *textRun) restart(times int, firstRead func() error) ([]float64, float64, error) {
+	snaps := ""
+	if !r.spec.durable {
+		snaps = filepath.Join(r.env.work, "snapshots")
+		if err := os.MkdirAll(snaps, 0o755); err != nil {
+			return nil, 0, err
+		}
+	}
+	var out []float64
+	var released float64
+	for k := 0; k < times; k++ {
+		r.f.waitIdle()
+		inUse := heapMB()
+		for _, n := range r.f.nodes {
+			if err := n.drain(snaps, true); err != nil {
+				return nil, 0, fmt.Errorf("drain backend %d: %w", n.idx, err)
+			}
+		}
+		released = inUse - heapMB() // also: every restart starts from a collected heap
+		start := time.Now()
+		for _, n := range r.f.nodes {
+			if err := n.open(r.spec, snaps); err != nil {
+				return nil, 0, fmt.Errorf("restart backend %d: %w", n.idx, err)
+			}
+		}
+		if err := firstRead(); err != nil {
+			return nil, 0, fmt.Errorf("first read after restart: %w", err)
+		}
+		out = append(out, time.Since(start).Seconds())
+	}
+	return out, released, nil
 }
 
 // finish tears the fleet down.
@@ -183,8 +211,7 @@ func (r *textRun) finish() {
 	}
 }
 
-// footprint reports index bits per live symbol (after WaitIdle) and
-// the heap in use after a collection.
+// footprint reports index bits per live symbol after WaitIdle.
 func (r *textRun) footprint() {
 	r.f.waitIdle()
 	var bits, syms int64
@@ -193,9 +220,9 @@ func (r *textRun) footprint() {
 		syms += int64(c.Len())
 	}
 	r.res.e2e["index_bits_per_symbol"] = float64(bits) / float64(max(syms, 1))
-	r.res.e2e["heap_mb"] = heapMB()
 }
 
+// heapMB collects garbage and returns the heap in use, in MB.
 func heapMB() float64 {
 	runtime.GC()
 	var ms runtime.MemStats
@@ -355,7 +382,7 @@ func fleetLayers(tr *tracer, before, after map[string]int64, layers map[string]f
 		layers["server.backend."+op+".self_us"] = quantile(self["server.backend."+op], 0.5)
 	}
 	layers["client.count.self_us"] = quantile(self["client.count"], 0.5)
-	calls := newDurations()
+	calls := newSamples()
 	fronts, backs := 0, 0
 	for _, s := range spans {
 		switch s.Layer {
@@ -368,11 +395,11 @@ func fleetLayers(tr *tracer, before, after map[string]int64, layers map[string]f
 		}
 	}
 	for _, m := range []string{"Count", "FindLimit", "Search", "Extract", "InsertBatch", "DeleteBatch"} {
-		layers["dyncoll."+m+".p50_us"] = calls.p50us("dyncoll." + m)
-		layers["dyncoll."+m+".busy_s"] = calls.busyS("dyncoll." + m)
+		layers["dyncoll."+m+".p50_us"] = 1e3 * calls.quantileOf(0.5, "dyncoll."+m)
+		layers["dyncoll."+m+".busy_s"] = calls.sum("dyncoll."+m) / 1e3
 	}
-	layers["wal.InsertBatch.p50_us"] = calls.p50us("wal.InsertBatch")
-	layers["wal.DeleteBatch.p50_us"] = calls.p50us("wal.DeleteBatch")
+	layers["wal.InsertBatch.p50_us"] = 1e3 * calls.quantileOf(0.5, "wal.InsertBatch")
+	layers["wal.DeleteBatch.p50_us"] = 1e3 * calls.quantileOf(0.5, "wal.DeleteBatch")
 	if fronts > 0 {
 		layers["server.frontend.backend_calls_per_op"] = float64(backs) / float64(fronts)
 		for _, c := range []string{"hedges", "hedge_wins", "retries"} {

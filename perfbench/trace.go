@@ -32,18 +32,23 @@ const reqHeader = "X-Perfbench-Req"
 
 // span is one timed call at a layer boundary.
 type span struct {
-	Layer  string   `json:"layer"` // client, server.frontend, server.backend, dyncoll, wal, binrel
-	Op     string   `json:"op"`    // count, find, search, insert, … or the collection method
-	Node   int      `json:"node"`  // backend number, -1 when not a backend span
-	Key    string   `json:"key"`   // pattern, extract ID, or first document ID
-	IDs    []uint64 `json:"ids,omitempty"`
-	Req    int64    `json:"req,omitempty"` // client request number
-	Start  int64    `json:"start_ns"`      // since the tracer's base
-	End    int64    `json:"end_ns"`
-	Parent int      `json:"parent"` // index of the parent span, -1 when none
+	Layer string   `json:"layer"` // client, server.frontend, server.backend, dyncoll, wal, binrel
+	Op    string   `json:"op"`    // count, find, search, insert, … or the collection method
+	Node  int      `json:"node"`  // backend number, -1 when not a backend span
+	Key   string   `json:"key"`   // pattern, extract ID, or first document ID
+	IDs   []uint64 `json:"ids,omitempty"`
+	Req   int64    `json:"req,omitempty"` // client request number
+	Start int64    `json:"start_ns"`      // since the tracer's base
+	End   int64    `json:"end_ns"`
+	// Yield is the time the call spent inside its caller's callback (a
+	// Search handing each match to the backend's NDJSON writer): the
+	// caller's work, not the call's.
+	Yield  int64 `json:"yield_ns,omitempty"`
+	Parent int   `json:"parent"` // index of the parent span, -1 when none
 }
 
-func (s span) dur() int64 { return s.End - s.Start }
+// dur is the span's own time: its length minus the time it yielded.
+func (s span) dur() int64 { return s.End - s.Start - s.Yield }
 
 // tracer keeps spans in memory while on; a nil tracer records nothing.
 type tracer struct {
@@ -180,9 +185,19 @@ func (c *tracedColl) Search(plan dyncoll.SearchPlan, fn func(dyncoll.Match) bool
 	if !c.tr.active() {
 		return c.Coll.Search(plan, fn)
 	}
+	// The backend encodes and flushes each match inside fn; that time is
+	// the backend's, so it is measured and taken out of this span. Search
+	// calls fn on the caller's goroutine, one match at a time.
+	var yield int64
 	start := c.tr.now()
-	err := c.Coll.Search(plan, fn)
-	c.span("dyncoll", "Search", string(plan.PatternBytes()), start)
+	err := c.Coll.Search(plan, func(m dyncoll.Match) bool {
+		t := c.tr.now()
+		ok := fn(m)
+		yield += c.tr.now() - t
+		return ok
+	})
+	c.tr.record(span{Layer: "dyncoll", Op: "Search", Node: c.node, Key: string(plan.PatternBytes()),
+		Start: start, End: c.tr.now(), Yield: yield})
 	return err
 }
 
@@ -274,8 +289,8 @@ func link(spans []span) {
 
 // layerTimes derives per-layer self times from linked spans: a
 // frontend span minus its longest backend child, a backend span minus
-// the union of its collection calls, a client span minus its frontend
-// span. Values are microseconds, keyed "<layer>.<op>". For each client
+// the time of its collection calls (collTime), a client span minus its
+// frontend span. Values are microseconds, keyed "<layer>.<op>". For each client
 // request it also records the critical path through the fleet under
 // "path.<layer>.<op>": the backend self time and collection time of the
 // frontend's longest backend call, the one the reply waited for.
@@ -306,16 +321,28 @@ func layerTimes(spans []span) map[string][]float64 {
 			}
 			if s.Layer == "server.frontend" {
 				if b := longest(kids); b >= 0 {
-					coll := unionLen(spans, children[b])
+					coll := collTime(spans, children[b])
 					add("path.server.backend."+s.Op, spans[b].dur()-coll)
 					add("path.dyncoll."+s.Op, coll)
 				}
 			}
 		case "server.backend":
-			add(s.Layer+"."+s.Op, s.dur()-unionLen(spans, kids))
+			add(s.Layer+"."+s.Op, s.dur()-collTime(spans, kids))
 		}
 	}
 	return out
+}
+
+// collTime is the time a backend request spent in its collection calls:
+// the time they cover minus the time they yielded back to the backend's
+// callbacks. A request's calls run one after another or, over several
+// collections, feed one callback in turn, so their yields never overlap.
+func collTime(spans []span, idx []int) int64 {
+	t := unionLen(spans, idx)
+	for _, k := range idx {
+		t -= spans[k].Yield
+	}
+	return t
 }
 
 // unionLen is the total time covered by the listed spans.
