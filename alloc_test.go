@@ -14,8 +14,8 @@ import (
 )
 
 // allocCollection builds a quiesced collection with ~64k symbols over
-// the given options.
-func allocCollection(t *testing.T, opts ...Option) (*Collection, [][]byte) {
+// the given options, ingested in the given number of InsertBatch calls.
+func allocCollection(t *testing.T, batches int, opts ...Option) (*Collection, [][]byte) {
 	t.Helper()
 	gen := textgen.NewCollection(textgen.CollectionOptions{
 		Sigma: 16, Order: 1, Skew: 0.6, MinLen: 256, MaxLen: 1024, Seed: 77,
@@ -25,8 +25,11 @@ func allocCollection(t *testing.T, opts ...Option) (*Collection, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InsertBatch(gen.Docs); err != nil {
-		t.Fatal(err)
+	per := (len(gen.Docs) + batches - 1) / batches
+	for lo := 0; lo < len(gen.Docs); lo += per {
+		if err := c.InsertBatch(gen.Docs[lo:min(lo+per, len(gen.Docs))]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.WaitIdle()
 	ps := textgen.NewPatternSampler(gen.Docs, 78)
@@ -35,15 +38,22 @@ func allocCollection(t *testing.T, opts ...Option) (*Collection, [][]byte) {
 
 func TestCountZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name    string
+		batches int
+		opts    []Option
 	}{
-		{"worstcase", nil},
-		{"worstcase+counting", []Option{WithCounting()}},
-		{"amortized", []Option{WithTransformation(Amortized)}},
+		{"worstcase", 1, nil},
+		{"worstcase+counting", 1, []Option{WithCounting()}},
+		// Sub-threshold batches leave documents in the bulk-ingest
+		// stage, whose scan must not allocate either.
+		{"worstcase+stage", 32, nil},
+		{"amortized", 1, []Option{WithTransformation(Amortized)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, pats := allocCollection(t, tc.opts...)
+			c, pats := allocCollection(t, tc.batches, tc.opts...)
+			if st := c.Stats(); (st.StageDocs > 0) != (tc.batches > 1) {
+				t.Fatalf("%d batches left %d documents in the stage", tc.batches, st.StageDocs)
+			}
 			want := make([]int, len(pats))
 			for i, p := range pats {
 				want[i] = c.Count(p)
@@ -64,7 +74,7 @@ func TestCountZeroAllocs(t *testing.T) {
 }
 
 func TestFindAllocsBoundedByResult(t *testing.T) {
-	c, pats := allocCollection(t)
+	c, pats := allocCollection(t, 1)
 	// FindFunc with a pre-allocated sink must stay O(1) allocations per
 	// query (the iterator/closure plumbing), independent of the number
 	// of occurrences reported.

@@ -27,6 +27,10 @@ import (
 	"dyncoll/internal/textgen"
 )
 
+// benchSink keeps benchmarked results alive so the compiler cannot
+// drop the measured calls.
+var benchSink int
+
 func benchDocs(total, sigma int, seed int64) []doc.Doc {
 	gen := textgen.NewCollection(textgen.CollectionOptions{
 		Sigma: sigma, Order: 1, Skew: 0.6, MinLen: 256, MaxLen: 2048, Seed: seed,
@@ -797,5 +801,39 @@ func BenchmarkInsertBatch(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(syms), "ns/symbol")
 			})
 		}
+	}
+}
+
+// BenchmarkCountAfterBatchIngest measures Count on a worst-case
+// collection ingested in many bulk batches, each larger than C0 but
+// lighter than the heavy-item threshold nf/τ — a preload's shape. Such
+// batches accumulate in the uncompressed stage, which becomes one top
+// collection per nf/τ ingested, so the store count a query visits (the
+// tops and stores metrics) grows with the doublings of n rather than
+// with the number of batches.
+func BenchmarkCountAfterBatchIngest(b *testing.B) {
+	docs := benchDocs(1<<20, 64, 41)
+	pats := textgen.NewPatternSampler(docs, 42).PlantedSet(64, 7)
+	for _, batches := range []int{1, 128} {
+		b.Run(fmt.Sprintf("batches=%d", batches), func(b *testing.B) {
+			c, err := NewCollection()
+			if err != nil {
+				b.Fatal(err)
+			}
+			per := (len(docs) + batches - 1) / batches
+			for lo := 0; lo < len(docs); lo += per {
+				if err := c.InsertBatch(docs[lo:min(lo+per, len(docs))]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c.WaitIdle()
+			st := c.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += c.Count(pats[i%len(pats)])
+			}
+			b.ReportMetric(float64(st.Tops), "tops")
+			b.ReportMetric(float64(st.Stores), "stores")
+		})
 	}
 }

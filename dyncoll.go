@@ -146,8 +146,11 @@ func (c *Collection) Insert(d Document) error { return c.impl.Insert(d) }
 // InsertBatch adds many documents in one ingest: the whole batch is
 // validated up front (on error nothing is inserted) and placed with at
 // most one rebuild cascade, instead of the cascade-per-document cost of
-// looped Insert calls. It fails with ErrDuplicateID — also for IDs
-// repeated within the batch — or ErrReservedByte.
+// looped Insert calls. Under the WorstCase transformation, a batch too
+// light to be indexed on its own is staged uncompressed and indexed
+// with later batches in the background (see IndexStats.StageSize). It
+// fails with ErrDuplicateID — also for IDs repeated within the batch —
+// or ErrReservedByte.
 func (c *Collection) InsertBatch(docs []Document) error { return c.impl.InsertBatch(docs) }
 
 // Delete removes the document with the given ID. It fails with
@@ -259,6 +262,17 @@ type IndexStats struct {
 	Tops          int
 	TopSizes      []int
 	PendingBuilds int
+	// StageSize, StageDead and StageDocs describe the worst-case
+	// transformation's bulk-ingest stage, the uncompressed buffer that
+	// batches too light for a top collection of their own accumulate
+	// in: live weight, lazily deleted weight and live document count.
+	StageSize int
+	StageDead int
+	StageDocs int
+	// Stores is the number of stores one query visits: C0, the stage,
+	// every occupied level and top, and structures whose replacement
+	// is still being built (summed across shards).
+	Stores int
 	// Tau is the lazy-deletion parameter currently in effect.
 	Tau int
 	// Shards is the number of shards (0 for an unsharded structure).
@@ -295,6 +309,10 @@ func indexStatsFrom(st core.Stats) IndexStats {
 		Tops:           st.Tops,
 		TopSizes:       st.TopSizes,
 		PendingBuilds:  st.PendingBuilds,
+		StageSize:      st.StageLive,
+		StageDead:      st.StageDead,
+		StageDocs:      st.StageItems,
+		Stores:         st.Stores,
 		Tau:            st.Tau,
 	}
 }

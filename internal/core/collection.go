@@ -27,6 +27,9 @@ func ladderConfig(opts Options) engine.Config[uint64, doc.Doc] {
 		Key:    func(d doc.Doc) uint64 { return d.ID },
 		Weight: func(d doc.Doc) int { return len(d.Data) },
 		NewC0:  func() engine.Mutable[uint64, doc.Doc] { return newC0() },
+		NewStage: func() engine.Mutable[uint64, doc.Doc] {
+			return newStage()
+		},
 		Build: func(docs []doc.Doc, tau int) engine.Store[uint64, doc.Doc] {
 			return NewSemiDynamic(opts.Builder(docs), tau, opts.Counting)
 		},
@@ -109,6 +112,10 @@ func (c *collection) Insert(d doc.Doc) error {
 // validated first — on any ErrDuplicateID / ErrReservedByte nothing is
 // inserted — and then placed with at most one ladder rebuild cascade,
 // instead of the cascade-per-document cost of looped Insert calls.
+// Under worst-case scheduling a batch larger than C0 but lighter than
+// the heavy-item threshold nf/τ is copied into the uncompressed stage
+// (stage.go) without building an index; the stage becomes one top
+// collection, built in the background, once it weighs nf/τ itself.
 func (c *collection) InsertBatch(docs []doc.Doc) error {
 	if len(docs) == 0 {
 		return nil

@@ -401,6 +401,7 @@ func (a *Amortized[K, I]) Stats() Stats {
 		Levels:         len(a.maxes),
 		NF:             a.nf,
 		Tau:            a.tau,
+		Stores:         len(a.stores()),
 	}
 	st.LevelSizes = append(st.LevelSizes, a.c0.LiveWeight())
 	st.LevelCaps = append(st.LevelCaps, a.maxes[0])

@@ -10,6 +10,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"dyncoll/internal/doc"
 	"dyncoll/internal/engine"
 	"dyncoll/internal/fmindex"
+	"dyncoll/internal/snap"
 )
 
 // payload describes one instantiation of the engine under test.
@@ -337,4 +339,182 @@ func TestGenericWorstCaseMachineryEngages(t *testing.T) {
 			t.Fatal("relation payload never rebalanced (Section A.3)")
 		}
 	})
+}
+
+// stagingCorpus returns the first n items of the document payload.
+func stagingCorpus(n int) []doc.Doc {
+	p := docPayload()
+	docs := make([]doc.Doc, n)
+	for i := range docs {
+		docs[i] = p.item(i)
+	}
+	return docs
+}
+
+// ingestStaged feeds docs to eng in the given number of equal
+// InsertBatch calls and checks after each call that the bulk-ingest stage holds at most nf/τ
+// plus one batch and that MaxTops covers the current top count. It waits
+// for background builds between calls: once batches fit C0 they take the
+// ladder, which parks items in temps and folds them into small tops
+// whenever a slot is busy, so without the wait the top count would
+// depend on build speed.
+func ingestStaged(t *testing.T, eng engine.Ladder[uint64, doc.Doc], docs []doc.Doc, batches int) {
+	t.Helper()
+	const minCap = 64 // the default MinCapacity bigItem floors nf/τ at
+	per := (len(docs) + batches - 1) / batches
+	for lo := 0; lo < len(docs); lo += per {
+		batch := docs[lo:min(lo+per, len(docs))]
+		weight := 0
+		for _, d := range batch {
+			weight += len(d.Data)
+		}
+		if err := eng.InsertBatch(batch); err != nil {
+			t.Fatalf("batch at %d: %v", lo, err)
+		}
+		st := eng.Stats()
+		if staged, bound := st.StageLive+st.StageDead, max(st.NF/st.Tau, minCap)+weight; staged > bound {
+			t.Fatalf("batch at %d: stage holds %d > nf/τ + batch = %d", lo, staged, bound)
+		}
+		if st.MaxTops < st.Tops {
+			t.Fatalf("batch at %d: MaxTops %d < Tops %d", lo, st.MaxTops, st.Tops)
+		}
+		eng.WaitIdle()
+	}
+}
+
+// TestStagedIngestBoundsTops checks that bulk batches too light to be a
+// top collection of their own no longer mint one top each: ingesting
+// the same corpus in 8× as many batches may add at most 3τ tops, at the
+// end and at the peak (the stage graduates once per nf/τ ingested, so
+// the count grows with the number of doublings of n, not with the
+// number of batches). Minting one top per batch peaks at ~140 tops
+// after 800 batches here, against ~17 with the stage.
+func TestStagedIngestBoundsTops(t *testing.T) {
+	docs := stagingCorpus(16000)
+	weight := 0
+	for _, d := range docs {
+		weight += len(d.Data)
+	}
+	for _, r := range regimes {
+		if !r.worstCase {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			final := make(map[int]engine.Stats)
+			for _, batches := range []int{100, 800} {
+				eng := docPayload().mk(true, r.inline, 0)
+				ingestStaged(t, eng, docs, batches)
+				eng.WaitIdle()
+				st := eng.Stats()
+				if eng.Len() != weight || eng.Count() != len(docs) {
+					t.Fatalf("%d batches: Len=%d Count=%d, want %d/%d",
+						batches, eng.Len(), eng.Count(), weight, len(docs))
+				}
+				if st.MaxTops < st.Tops {
+					t.Fatalf("%d batches: MaxTops %d < Tops %d", batches, st.MaxTops, st.Tops)
+				}
+				final[batches] = st
+			}
+			few, many := final[100], final[800]
+			t.Logf("tops (peak): %d (%d) after 100 batches, %d (%d) after 800 (τ=%d)",
+				few.Tops, few.MaxTops, many.Tops, many.MaxTops, many.Tau)
+			if many.Tops > few.Tops+3*many.Tau || many.MaxTops > few.MaxTops+3*many.Tau {
+				t.Fatalf("tops (peak): %d (%d) after 800 batches, %d (%d) after 100: more than 3τ=%d apart",
+					many.Tops, many.MaxTops, few.Tops, few.MaxTops, 3*many.Tau)
+			}
+		})
+	}
+}
+
+// TestStagedDumpRestore round-trips a collection whose stage holds live
+// and deleted documents: the restored C0 stays within its 2·max_0 soft
+// cap (the overflow goes back to the stage) and every count matches
+// both the original and a naive scan.
+func TestStagedDumpRestore(t *testing.T) {
+	builder := func(docs []doc.Doc) core.StaticIndex {
+		return fmindex.Build(docs, fmindex.Options{SampleRate: 4})
+	}
+	docs := stagingCorpus(4000)
+	var pats [][]byte
+	for i := 0; i < 12; i++ {
+		d := docs[len(docs)-1-97*i].Data
+		pats = append(pats, d[2:2+3+i%4])
+	}
+	for _, r := range regimes {
+		if !r.worstCase {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			opts := core.Options{Builder: builder, Inline: r.inline}
+			c := core.NewWorstCase(opts)
+			for lo := 0; lo < len(docs); lo += 40 {
+				if err := c.InsertBatch(docs[lo : lo+40]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := make(map[uint64]bool, len(docs))
+			for _, d := range docs {
+				live[d.ID] = true
+			}
+			for i := len(docs) - 1; i >= 0; i -= 7 {
+				c.Delete(docs[i].ID)
+				delete(live, docs[i].ID)
+			}
+			c.WaitIdle()
+			if st := c.Stats(); st.StageLive == 0 || st.StageDead == 0 {
+				t.Fatalf("stage holds %d live / %d dead symbols; the round trip needs both", st.StageLive, st.StageDead)
+			}
+			var e snap.Encoder
+			c.EncodeSnapshot(&e, false)
+			back := core.NewWorstCase(opts)
+			if err := back.DecodeSnapshot(snap.NewDecoder(e.Bytes()), nil); err != nil {
+				t.Fatal(err)
+			}
+			st := back.Stats()
+			if st.LevelSizes[0] > 2*st.LevelCaps[0] {
+				t.Fatalf("restored C0 holds %d > 2·max_0 = %d", st.LevelSizes[0], 2*st.LevelCaps[0])
+			}
+			if back.Len() != c.Len() || back.DocCount() != c.DocCount() {
+				t.Fatalf("restored Len/DocCount %d/%d, want %d/%d", back.Len(), back.DocCount(), c.Len(), c.DocCount())
+			}
+			for _, p := range pats {
+				want := 0
+				for _, d := range docs {
+					if live[d.ID] {
+						for i := 0; i+len(p) <= len(d.Data); i++ {
+							if bytes.Equal(d.Data[i:i+len(p)], p) {
+								want++
+							}
+						}
+					}
+				}
+				if got, orig := back.Count(p), c.Count(p); got != want || orig != want {
+					t.Fatalf("Count(%v): restored %d, original %d, naive %d", p, got, orig, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWorstCaseMaxTopsCoversHeavyItems checks that the heavy-item
+// branch of single inserts (an item of at least nf/τ becomes its own
+// top collection) raises the MaxTops high-water mark.
+func TestWorstCaseMaxTopsCoversHeavyItems(t *testing.T) {
+	eng := docPayload().mk(true, true, 4)
+	if err := eng.InsertBatch(stagingCorpus(200)); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	heavy := doc.Doc{ID: 1 << 40, Data: bytes.Repeat([]byte{1, 2, 3}, before.NF/before.Tau/3+1)}
+	if err := eng.Insert(heavy); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.Tops != before.Tops+1 || st.Rebalances != before.Rebalances {
+		t.Fatalf("heavy insert: tops %d→%d, rebalances %d→%d; want one more top and no rebalance",
+			before.Tops, st.Tops, before.Rebalances, st.Rebalances)
+	}
+	if st.MaxTops < st.Tops {
+		t.Fatalf("MaxTops %d < Tops %d after a heavy insert", st.MaxTops, st.Tops)
+	}
 }

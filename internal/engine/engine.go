@@ -96,6 +96,12 @@ type Config[K comparable, I any] struct {
 	// Build constructs a deletion-only static payload over items; tau
 	// is the lazy-deletion parameter in effect (Lemma 3 word width).
 	Build func(items []I, tau int) Store[K, I]
+	// NewStage, if set, creates an empty uncompressed staging store that
+	// the worst-case engine copies bulk batches into instead of building
+	// an index per batch (see WorstCase.InsertBatch). Queries scan the
+	// stage, so only payloads with a cheap scan supply one; without it
+	// every bulk batch becomes top collections directly.
+	NewStage func() Mutable[K, I]
 
 	// Tau is the space/overhead trade-off parameter τ: a structure is
 	// purged once a 1/τ fraction of its weight is dead. 0 means
@@ -161,6 +167,17 @@ type Stats struct {
 	MaxTops       int
 	TopSizes      []int
 	TopDead       []int
+	// StageLive, StageDead and StageItems describe the worst-case
+	// bulk-ingest stage: live weight, lazily deleted weight and live
+	// item count (zero when the payload has no stage).
+	StageLive  int
+	StageDead  int
+	StageItems int
+
+	// Stores is the number of stores a query visits: C0, the stage,
+	// every occupied level, locked copy, temp payload and top, and the
+	// sources of in-flight builds.
+	Stores int
 
 	// NF is the weight at the last global rebuild/rebalance; Tau the τ
 	// in effect since then.

@@ -79,7 +79,8 @@ type Dump[K comparable, I any] struct {
 	// global rebuild and the lazy-deletion parameter τ), so a restored
 	// ladder re-derives the same capacity schedule.
 	NF, Tau int
-	// C0 holds the uncompressed store's live items.
+	// C0 holds the live items of the uncompressed stores: C0 itself and,
+	// for the worst-case engine, the bulk-ingest stage.
 	C0 []I
 	// Stores lists every static store exactly once.
 	Stores []StoreDump[K, I]
@@ -170,6 +171,9 @@ func (w *WorstCase[K, I]) Dump() Dump[K, I] {
 		w.drainLocked(true)
 	}
 	d := Dump[K, I]{NF: w.nf, Tau: w.tau, C0: w.c0.LiveItems()}
+	if w.stage != nil {
+		d.C0 = append(d.C0, w.stage.LiveItems()...)
+	}
 	for j := 1; j < len(w.levels); j++ {
 		if w.levels[j] != nil {
 			d.Stores = append(d.Stores, StoreDump[K, I]{Level: j, Store: w.levels[j]})
@@ -185,10 +189,12 @@ func (w *WorstCase[K, I]) Dump() Dump[K, I] {
 	return d
 }
 
-// Restore installs a dump into an empty ladder. Stores whose slot is
-// occupied park as temp payloads (the engine's native representation
-// for extra stores at a slot); out-of-range slots and TopLevel stores
-// become top collections.
+// Restore installs a dump into an empty ladder. Raw items fill C0 up to
+// its 2·max_0 soft cap; the rest go to the stage (into C0 regardless when
+// the payload has no stage), so a dumped stage comes back as a stage.
+// Stores whose slot is occupied park as temp payloads (the engine's
+// native representation for extra stores at a slot); out-of-range slots
+// and TopLevel stores become top collections.
 func (w *WorstCase[K, I]) Restore(d Dump[K, I]) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -205,8 +211,12 @@ func (w *WorstCase[K, I]) Restore(d Dump[K, I]) error {
 		if _, dup := w.owner[k]; dup {
 			return snap.Corruptf("key %v appears twice in C0", k)
 		}
-		w.c0.Insert(it)
-		w.owner[k] = w.c0
+		dst := w.c0
+		if w.stage != nil && w.c0.LiveWeight()+w.cfg.Weight(it) > 2*w.maxes[0] {
+			dst = w.stage
+		}
+		dst.Insert(it)
+		w.owner[k] = dst
 	}
 	for _, ds := range d.Stores {
 		switch {
@@ -221,9 +231,7 @@ func (w *WorstCase[K, I]) Restore(d Dump[K, I]) error {
 			return err
 		}
 	}
-	if len(w.tops) > w.stats.MaxTops {
-		w.stats.MaxTops = len(w.tops)
-	}
+	w.noteTops()
 	w.gens = seedGens(w.gens, &w.genc, d)
 	return nil
 }

@@ -18,7 +18,9 @@ import (
 //     and constructs the replacement Nj+1 in the background; small
 //     per-item Temp payloads keep new arrivals queryable meanwhile;
 //   - items too heavy for the ladder (≥ nf/τ) become their own top
-//     collection immediately;
+//     collection immediately; bulk batches lighter than that accumulate
+//     in an uncompressed stage (Config.NewStage) that becomes one top
+//     once it weighs nf/τ itself;
 //   - deletions are lazy everywhere; a sweep process purges the top
 //     collection holding the most dead weight after every
 //     nf/(2τ·log τ) deleted units, which by Dietz–Sleator (Lemma 1)
@@ -45,6 +47,7 @@ type WorstCase[K comparable, I any] struct {
 	cfg Config[K, I]
 
 	c0     Mutable[K, I]
+	stage  Mutable[K, I]   // bulk-ingest stage; nil without Config.NewStage
 	levels []Store[K, I]   // Cj, j ≥ 1; index 0 unused
 	locked []Store[K, I]   // Lj, parallel to levels
 	temps  [][]Store[K, I] // parked single-item payloads per level
@@ -146,6 +149,9 @@ func NewWorstCase[K comparable, I any](cfg Config[K, I]) *WorstCase[K, I] {
 		cfg:   cfg,
 		c0:    cfg.NewC0(),
 		owner: make(map[K]Store[K, I]),
+	}
+	if cfg.NewStage != nil {
+		w.stage = cfg.NewStage()
 	}
 	w.reschedule(0)
 	return w
@@ -486,9 +492,9 @@ func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 		}
 	}
 	w.tops = kept
-	if isSource[w.c0] {
-		// Only rebalance retires C0; a fresh one was installed at launch.
-		panic("engine: C0 retired outside rebalance")
+	if isSource[w.c0] || (w.stage != nil && isSource[w.stage]) {
+		// A build retiring C0 or the stage installed a fresh one at launch.
+		panic("engine: live C0 or stage retired by a build")
 	}
 	ret := w.retiring[:0]
 	for _, s := range w.retiring {
@@ -512,6 +518,12 @@ func (w *WorstCase[K, I]) finish(t *buildTask[K, I], out []Store[K, I]) {
 		w.stats.Rebalances++
 	}
 	w.dropEmptyTops()
+	w.noteTops()
+}
+
+// noteTops records the top count's high-water mark; every path that
+// appends tops calls it.
+func (w *WorstCase[K, I]) noteTops() {
 	if len(w.tops) > w.stats.MaxTops {
 		w.stats.MaxTops = len(w.tops)
 	}
@@ -556,6 +568,9 @@ func (w *WorstCase[K, I]) allStores() []Store[K, I] {
 	}
 	out := w.storeCache[:0]
 	out = append(out, Store[K, I](w.c0))
+	if w.stage != nil {
+		out = append(out, w.stage)
+	}
 	for j := range w.levels {
 		if w.levels[j] != nil {
 			out = append(out, w.levels[j])
@@ -642,6 +657,7 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 		w.tops = append(w.tops, tp)
 		w.owner[w.cfg.Key(item)] = tp
 		w.stats.SyncBuilds++
+		w.noteTops()
 
 	default:
 		w.insertViaLadder(item)
@@ -650,13 +666,18 @@ func (w *WorstCase[K, I]) placeOne(item I) {
 
 // InsertBatch adds many items in one ingest. The whole batch is
 // validated first — on any ErrDuplicateKey nothing is inserted. A batch
-// larger than C0's capacity is bulk-built directly into top collections
-// (split at the top-capacity bound), so the per-item ladder cascades of
-// looped Insert calls collapse into one build pass followed by at most
-// one rebalance. Smaller batches route through the normal placement
-// machinery: the first overflow empties C0 into the ladder and the rest
-// of the batch fits in the fresh C0, so C0 keeps draining and tops
-// never accumulate per call.
+// larger than C0's capacity skips the per-item ladder cascades of looped
+// Insert calls, and the capacity schedule is re-derived from the
+// post-batch size. Such a batch weighing at least nf/τ — the paper's
+// heavy-item threshold — is bulk-built directly into top collections
+// (split at the top-capacity bound). A lighter one is copied into the
+// stage when the payload has one, so no index is built on the caller's
+// path; once the stage itself weighs nf/τ it becomes one top collection,
+// built in the background from the raw items. Without a stage, light
+// batches become tops too. Batches within C0's capacity route through
+// the normal placement machinery: the first overflow empties C0 into the
+// ladder and the rest of the batch fits in the fresh C0, so C0 keeps
+// draining and tops never accumulate per call.
 func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 	if len(items) == 0 {
 		return nil
@@ -686,10 +707,15 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		}
 	default:
 		// Re-derive the capacity schedule from the post-batch size first:
-		// chunks are then sized by the correct (larger) top capacity, and
-		// the post-ingest rebalance check is a no-op instead of
-		// immediately rebuilding the freshly built tops a second time.
+		// chunks are then sized by the correct (larger) top capacity, the
+		// heavy-item threshold by the correct nf, and the post-ingest
+		// rebalance check is a no-op instead of immediately rebuilding the
+		// freshly built tops (or the stage) a second time.
 		w.reschedule(w.lenLocked() + total)
+		if w.stage != nil && !w.bigItem(total) {
+			w.stageBatch(items)
+			break
+		}
 		for _, chunk := range splitItems(items, w.cfg.Weight, w.topCap()) {
 			tp := w.cfg.Build(chunk, w.tau)
 			w.tops = append(w.tops, tp)
@@ -702,12 +728,36 @@ func (w *WorstCase[K, I]) InsertBatch(items []I) error {
 		// cache, so a pre-mutation invalidation would be re-satisfied
 		// with the not-yet-extended store set.
 		w.invalidateStores()
-		if len(w.tops) > w.stats.MaxTops {
-			w.stats.MaxTops = len(w.tops)
-		}
+		w.noteTops()
 	}
 	w.checkRebalance()
 	return nil
+}
+
+// stageBatch copies a validated batch into the stage and graduates the
+// stage once its weight, deleted items included, reaches nf/τ: the
+// heavy-item rule applied to the accumulated batches. The stage
+// therefore never holds more than nf/τ plus one batch.
+func (w *WorstCase[K, I]) stageBatch(items []I) {
+	for _, it := range items {
+		w.stage.Insert(it)
+		w.owner[w.cfg.Key(it)] = w.stage
+	}
+	if !w.bigItem(w.stage.LiveWeight() + w.stage.DeadWeight()) {
+		return
+	}
+	// The old stage keeps answering queries from the retiring list until
+	// its top lands; it is never inserted into again, so the build may
+	// read its items without copying them.
+	task := &buildTask[K, I]{kind: buildTop, split: w.topCap()}
+	task.addStore(w.stage)
+	w.stage = w.cfg.NewStage()
+	if task.itemCount() == 0 {
+		// Everything staged was deleted meanwhile.
+		w.invalidateStores()
+		return
+	}
+	w.launch(task)
 }
 
 // insertViaLadder finds the first Cj+1 that can absorb Cj and the new
@@ -1073,6 +1123,10 @@ func (w *WorstCase[K, I]) startRebalance() {
 	}
 	take(oldC0)
 	w.c0 = w.cfg.NewC0()
+	if w.stage != nil {
+		take(w.stage)
+		w.stage = w.cfg.NewStage()
+	}
 	for j := range w.levels {
 		if w.levels[j] != nil {
 			take(w.levels[j])
@@ -1161,6 +1215,12 @@ func (w *WorstCase[K, I]) Stats() Stats {
 	st := w.stats
 	st.Tops = len(w.tops)
 	st.PendingBuilds = len(w.builds)
+	st.Stores = len(w.allStores())
+	if w.stage != nil {
+		st.StageLive = w.stage.LiveWeight()
+		st.StageDead = w.stage.DeadWeight()
+		st.StageItems = len(w.stage.LiveKeys())
+	}
 	st.Levels = len(w.maxes)
 	st.NF = w.nf
 	st.Tau = w.tau

@@ -307,6 +307,47 @@ func TestVarz(t *testing.T) {
 	}
 }
 
+// TestVarzStage: after bulk batches too light to become top collections
+// of their own, /varz shows the worst-case stage they accumulate in and
+// a per-query store count that its other fields account for: per shard
+// C0 and the stage, then the occupied levels and the tops.
+func TestVarzStage(t *testing.T) {
+	_, ts := newTestBackend(t)
+	id := 0
+	for batch := 0; batch < 30; batch++ {
+		var docs []string
+		for i := 0; i < 20; i++ {
+			id++
+			docs = append(docs, fmt.Sprintf(`{"id":%d,"text":"doc %d says %s"}`, id, id, strings.Repeat("ab", 10+id%7)))
+		}
+		if s, out := postJSON(t, ts.URL+"/v1/insert", `{"docs":[`+strings.Join(docs, ",")+`]}`); s != http.StatusOK {
+			t.Fatalf("insert batch %d: status %d %v", batch, s, out)
+		}
+	}
+	var v Varz
+	if s := getJSON(t, ts.URL+"/varz", &v); s != http.StatusOK {
+		t.Fatalf("varz status %d", s)
+	}
+	lv := v.Ladder
+	if lv == nil || lv.StageSize == 0 || lv.StageDocs == 0 {
+		t.Fatalf("varz shows no stage after sub-threshold bulk batches: %+v", lv)
+	}
+	if lv.PendingBuilds != 0 {
+		t.Fatalf("sync rebuilds left %d builds pending", lv.PendingBuilds)
+	}
+	fixed := 2*lv.Shards + len(lv.TopSizes)
+	occupied := 0
+	for _, l := range lv.Levels[1:] {
+		if l.Size > 0 {
+			occupied++
+		}
+	}
+	if lv.Stores < fixed+occupied || lv.Stores > fixed+lv.Shards*occupied {
+		t.Fatalf("stores = %d; C0 and stage per shard plus %d tops and %d occupied levels allow %d..%d",
+			lv.Stores, len(lv.TopSizes), occupied, fixed+occupied, fixed+lv.Shards*occupied)
+	}
+}
+
 // TestHistogram pins the bucket mapping and sanity-checks quantiles.
 func TestHistogram(t *testing.T) {
 	cases := []struct {

@@ -65,6 +65,16 @@ type LadderVarz struct {
 	Levels []LevelVarz `json:"levels"`
 	// TopSizes lists live weights of the worst-case top collections.
 	TopSizes []int `json:"top_sizes,omitempty"`
+	// StageSize, StageDead and StageDocs describe the worst-case
+	// bulk-ingest stage: an uncompressed buffer every query scans, so
+	// its weight (live plus dead) bounds the scan.
+	StageSize int `json:"stage_size,omitempty"`
+	StageDead int `json:"stage_dead,omitempty"`
+	StageDocs int `json:"stage_docs,omitempty"`
+	// Stores is the number of stores one query visits: C0, the stage,
+	// the occupied levels, the tops, and the sources of builds still in
+	// flight (pending_builds), summed across shards.
+	Stores int `json:"stores"`
 }
 
 // LevelVarz is one ladder slot's occupancy.
@@ -103,6 +113,10 @@ func NewLadderVarz(st dyncoll.IndexStats, unit string, live int, sizeBits int64)
 		GlobalRebuilds: st.GlobalRebuilds,
 		PendingBuilds:  st.PendingBuilds,
 		TopSizes:       st.TopSizes,
+		StageSize:      st.StageSize,
+		StageDead:      st.StageDead,
+		StageDocs:      st.StageDocs,
+		Stores:         st.Stores,
 	}
 	for j, sz := range st.LevelSizes {
 		v.Levels = append(v.Levels, LevelVarz{Size: sz, Cap: st.LevelCaps[j]})
@@ -133,4 +147,8 @@ func (v *LadderVarz) WriteText(w io.Writer) {
 	if len(v.TopSizes) > 0 {
 		fmt.Fprintf(w, "%-10s %d collections, sizes %v\n", "tops:", len(v.TopSizes), v.TopSizes)
 	}
+	if v.StageSize+v.StageDead > 0 {
+		fmt.Fprintf(w, "%-10s %d %ss in %d docs, %d deleted\n", "stage:", v.StageSize, v.Unit, v.StageDocs, v.StageDead)
+	}
+	fmt.Fprintf(w, "%-10s %d per query\n", "stores:", v.Stores)
 }

@@ -78,6 +78,10 @@ func aggStats(n int, get func(i int) core.Stats) core.Stats {
 		agg.MaxTops += st.MaxTops
 		agg.TopSizes = append(agg.TopSizes, st.TopSizes...)
 		agg.TopDead = append(agg.TopDead, st.TopDead...)
+		agg.StageLive += st.StageLive
+		agg.StageDead += st.StageDead
+		agg.StageItems += st.StageItems
+		agg.Stores += st.Stores
 		agg.NF += st.NF
 	}
 	return agg
